@@ -854,7 +854,7 @@ def determinism_digests(seed: int = 11) -> Dict[str, str]:
     """SHA-256 digests of a measured+traced pinned-seed banking run.
 
     The run covers every layer the FASTPATH optimisation touched (event
-    scheduling, checkpointing, DISCPROCESS record copies, audit images,
+    scheduling, checkpointing, DISCPROCESS record images, audit images,
     message dispatch), so a byte-identical XRAY report and TRACE
     timeline across interpreter sessions — and across the optimisation
     itself — is strong evidence the simulated history is unchanged.

@@ -230,7 +230,7 @@ class AuditProcess(ConcurrentPair):
 
     * ``buffer``   — images received but not yet on the trail, keyed by
       arrival index (order preserved);
-    * ``by_tx``    — per-transid image lists (buffered *and* durable),
+    * ``by_tx``    — per-transid image tuples (buffered *and* durable),
       used to answer the BACKOUTPROCESS;
     * ``high_seq`` — per-volume highest audit sequence seen (suppresses
       duplicates re-forwarded after a DISCPROCESS takeover);
@@ -286,22 +286,25 @@ class AuditProcess(ConcurrentPair):
         fresh = [r for r in payload.records if r.seq > high]
         if fresh:
             buffer_updates = {}
-            tx_snapshot = {}
+            tx_updates = {}
+            by_tx = self.state["by_tx"]
             for record in fresh:
                 index = self.state["next_index"]
                 self.state["next_index"] = index + 1
                 buffer_updates[index] = record
                 tx_key = str(record.transid)
-                self.state["by_tx"].setdefault(tx_key, []).append(record)
-                # Snapshot now: a concurrent commit's cleanup may drop the
+                # A new tuple per append: the backup shares the one it was
+                # sent, and a concurrent commit's cleanup may drop the
                 # by_tx entry while the checkpoint below is in flight.
-                tx_snapshot[tx_key] = list(self.state["by_tx"][tx_key])
+                images = by_tx.get(tx_key, ()) + (record,)
+                by_tx[tx_key] = images
+                tx_updates[tx_key] = images
             # One physical checkpoint message carries all the tables.
             yield from self.checkpoint_multi(
                 [
                     ("buffer", buffer_updates, ()),
                     ("high_seq", {payload.volume: max(r.seq for r in fresh)}, ()),
-                    ("by_tx", tx_snapshot, ()),
+                    ("by_tx", tx_updates, ()),
                 ],
                 scalars={"next_index": self.state["next_index"]},
             )
@@ -370,11 +373,12 @@ class AuditProcess(ConcurrentPair):
         self.trail.attach_existing(
             AuditTrail.discover_file_names(self.trail.volume, self.trail.prefix)
         )
-        by_tx: Dict[str, List[AuditRecord]] = {}
+        by_tx: Dict[str, Tuple[AuditRecord, ...]] = {}
         high_seq: Dict[str, int] = {}
         for record in self.trail.scan_all():
             if isinstance(record, AuditRecord):
-                by_tx.setdefault(str(record.transid), []).append(record)
+                tx_key = str(record.transid)
+                by_tx[tx_key] = by_tx.get(tx_key, ()) + (record,)
                 high_seq[record.volume] = max(
                     high_seq.get(record.volume, -1), record.seq
                 )

@@ -26,7 +26,6 @@ from typing import Any, Dict, Generator, List, Optional
 
 from ..discprocess.records import KEY_SEQUENCED, RELATIVE, FileSchema
 from ..guardian import FileSystemError, OsProcess
-from ..sim import fast_deepcopy
 from .audit import AuditRecord, CompletionRecord
 from .tmf import TmfNode
 from .tmp import TmpQuery
@@ -86,14 +85,14 @@ def dump_volume(disc_process: Any) -> VolumeArchive:
         organization = structured.schema.organization
         if organization == KEY_SEQUENCED:
             for key, record in structured.scan():
-                dump.content[key] = fast_deepcopy(record)
+                dump.content[key] = record
         elif organization == RELATIVE:
             for number, record in structured.scan_slots():
-                dump.content[number] = fast_deepcopy(record)
+                dump.content[number] = record
             dump.next_number = structured.base.next_record_number
         else:
             for esn, record in structured.scan_entries():
-                dump.content[esn] = fast_deepcopy(record)
+                dump.content[esn] = record
             dump.next_number = structured.base.record_count
         archive.files[name] = dump
     return archive
@@ -230,7 +229,7 @@ class Rollforward:
                 if record.op == "write_slot" or record.op == "append_entry":
                     file_content[record.key] = None
             else:
-                file_content[record.key] = fast_deepcopy(record.after)
+                file_content[record.key] = record.after
             if isinstance(record.key, int):
                 next_numbers[record.file] = max(
                     next_numbers.get(record.file, 0), record.key + 1

@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from ..sim import register_immutable
-
 __all__ = ["Transid", "TransidGenerator"]
 
 
-@register_immutable
 @dataclass(frozen=True, order=True)
 class Transid:
     """A network-wide unique transaction identity."""

@@ -31,9 +31,13 @@ from .records import (
     KEY_SEQUENCED,
     RELATIVE,
     FileSchema,
+    FrozenList,
+    FrozenRecord,
     PartitionSpec,
     RecordError,
     SecuritySpec,
+    freeze,
+    thaw,
 )
 from .ops import ForceBoxcar
 from .relative import RelativeFile, SlotError
@@ -58,6 +62,8 @@ __all__ = [
     "FileSchema",
     "FileUnavailableError",
     "ForceBoxcar",
+    "FrozenList",
+    "FrozenRecord",
     "KEY_SEQUENCED",
     "KeyNotFound",
     "KeySequencedFile",
@@ -77,7 +83,9 @@ __all__ = [
     "StructuredFile",
     "TOP",
     "VolumeBlockStore",
+    "freeze",
     "install_ddl",
     "parse_ddl",
     "resolve_boxcar",
+    "thaw",
 ]

@@ -12,7 +12,10 @@ interface in the paper:
   current transid and handles retry over DISCPROCESS takeovers;
 * converts error replies into typed exceptions
   (:class:`LockTimeoutError` is the one applications act on — it is the
-  presumed-deadlock signal that should trigger RESTART-TRANSACTION).
+  presumed-deadlock signal that should trigger RESTART-TRANSACTION);
+* hands the caller records as plain dicts (:func:`~.records.thaw`): the
+  reply lands in the requester's own buffer, so application code may
+  change its copy while the DISCPROCESS's immutable image stays as it is.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .ops import (
     VolumeStats,
     WriteSlot,
 )
-from .records import FileSchema, PartitionSpec
+from .records import FileSchema, PartitionSpec, thaw
 
 __all__ = [
     "DataDictionary",
@@ -197,7 +200,7 @@ class FileClient:
             ReadRecord(file_name, key, lock=lock, lock_timeout=lock_timeout),
             transid,
         )
-        return reply["record"]
+        return thaw(reply["record"])
 
     def insert(self, proc: OsProcess, file_name: str, record: Dict[str, Any], transid: Any = None) -> Generator:
         schema = self.dictionary.schema(file_name)
@@ -219,7 +222,7 @@ class FileClient:
         reply = yield from self._send(
             proc, self._dest_for_key(schema, key), DeleteRecord(file_name, key), transid
         )
-        return reply["record"]
+        return thaw(reply["record"])
 
     def lock_record(
         self,
@@ -276,7 +279,7 @@ class FileClient:
                 ScanRecords(file_name, low, high, remaining),
                 transid,
             )
-            rows.extend(reply["rows"])
+            rows.extend((key, thaw(record)) for key, record in reply["rows"])
         return rows
 
     def read_via_index(
@@ -289,7 +292,7 @@ class FileClient:
             reply = yield from self._send(
                 proc, self._destination(spec), ReadViaIndex(file_name, field, value), transid
             )
-            records.extend(reply["records"])
+            records.extend(thaw(record) for record in reply["records"])
         return records
 
     # ------------------------------------------------------------------
@@ -311,7 +314,7 @@ class FileClient:
             ReadSlot(file_name, record_number, lock, lock_timeout),
             transid,
         )
-        return reply["record"]
+        return thaw(reply["record"])
 
     def write_slot(
         self, proc: OsProcess, file_name: str, record_number: int, record: Any, transid: Any = None
@@ -323,7 +326,7 @@ class FileClient:
             WriteSlot(file_name, record_number, record),
             transid,
         )
-        return reply["old"]
+        return thaw(reply["old"])
 
     def append_slot(self, proc: OsProcess, file_name: str, record: Any, transid: Any = None) -> Generator:
         schema = self.dictionary.schema(file_name)
@@ -344,7 +347,7 @@ class FileClient:
         reply = yield from self._send(
             proc, self._single_partition(schema), ReadEntry(file_name, esn), transid
         )
-        return reply["record"]
+        return thaw(reply["record"])
 
     def scan_entries(
         self,
@@ -361,7 +364,7 @@ class FileClient:
             ScanEntries(file_name, start_esn, limit),
             transid,
         )
-        return reply["rows"]
+        return [(esn, thaw(record)) for esn, record in reply["rows"]]
 
     # ------------------------------------------------------------------
     # Administration

@@ -57,8 +57,7 @@ class EntrySequencedFile:
             block = ["E", []]
         new_block = ["E", list(block[1]) + [record]]
         self.store.put(self.name, block_number, new_block)
-        header[1] = esn + 1
-        self.store.put(self.name, _HEADER, header)
+        self.store.put(self.name, _HEADER, ["H", esn + 1])
         return esn
 
     def void(self, esn: int) -> Optional[Any]:

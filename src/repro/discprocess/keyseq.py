@@ -25,7 +25,8 @@ __all__ = ["KeySequencedFile", "DuplicateKey", "KeyNotFound"]
 
 Key = Tuple[Any, ...]
 
-# Block layouts (plain lists so they copy cheaply):
+# Block layouts (plain lists, copy-on-write: a stored block is never
+# mutated, a write stores a new list):
 #   header (block 0):  ["H", root_id, next_block_number, record_count]
 #   internal:          ["I", [sep_key, ...], [child_id, ...]]  (len(children) == len(keys)+1)
 #   leaf:              ["L", [key, ...], [record, ...]]
@@ -75,6 +76,7 @@ class KeySequencedFile:
         self.store.put(self.name, _HEADER, header)
 
     def _alloc(self, header: List[Any]) -> int:
+        """Allocate a block number in ``header``, a private working copy."""
         number = header[2]
         header[2] += 1
         return number
@@ -97,7 +99,8 @@ class KeySequencedFile:
 
     def insert(self, key: Key, record: Any) -> None:
         """Store a new record; raises :class:`DuplicateKey` if present."""
-        header = self._header()
+        # The stored header may already be on disc or in a checkpoint.
+        header = list(self._header())
         split = self._insert(header, header[1], key, record)
         if split is not None:
             sep_key, new_child = split
@@ -122,7 +125,7 @@ class KeySequencedFile:
 
     def delete(self, key: Key) -> Any:
         """Remove the record under ``key``; returns it."""
-        header = self._header()
+        header = list(self._header())
         leaf_id, block = self._find_leaf_id(header[1], key)
         keys = block[1]
         idx = bisect_left(keys, key)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Tuple
 
-from ..sim import fast_deepcopy, register_fastcopy
 from .records import FileSchema
 
 __all__ = [
@@ -218,22 +217,9 @@ class AuditRecord:
     op: str                    # insert | update | delete | write_slot |
                                # append_entry | backout
     key: Any                   # primary key tuple / record number / esn
-    before: Any                # record image prior to the update (or None)
-    after: Any                 # record image after the update (or None)
+    before: Any                # frozen record image prior to the update (or None)
+    after: Any                 # frozen record image after the update (or None)
     seq: int                   # per-volume audit sequence number
-
-
-# Audit images are checkpointed and archived constantly; a custom copier
-# keeps them on fast_deepcopy's plain-data path.  Only ``before``/
-# ``after`` (record images) are mutable — every other field is a scalar
-# or a Transid, shared as-is.
-register_fastcopy(
-    AuditRecord,
-    lambda r: AuditRecord(
-        r.transid, r.volume, r.file, r.op, r.key,
-        fast_deepcopy(r.before), fast_deepcopy(r.after), r.seq,
-    ),
-)
 
 
 @dataclass(frozen=True)

@@ -7,26 +7,41 @@ primary key, its automatically-maintained alternate keys, whether it is
 TMF-audited, and where it lives (one volume, or key-range partitions
 across several — possibly on different nodes).
 
-Records themselves are plain dicts of field name → value; keys are
-tuples of field values, which sort correctly for range operations.
+A record is a dict of field name → value; keys are tuples of field
+values, which sort correctly for range operations.
+
+Stored records are immutable *images*.  GUARDIAN processes share no
+memory, so a value a DISCPROCESS stores can only change by being
+replaced, never in place.  :func:`freeze` takes the image once, when a
+requester's record enters the DISCPROCESS; from then on the same
+:class:`FrozenRecord` is shared by reference by the block that stores
+it, the audit before/after images, the pair's checkpoints, read and
+scan replies, backout and ROLLFORWARD.  A frozen image prints, compares
+and serialises like the dict it replaces and raises on mutation.  The
+requester's file-system client turns a reply back into a plain dict
+with :func:`thaw`: the one copy, landing in the requester's own buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NoReturn, Optional, Tuple
 
 __all__ = [
     "KEY_SEQUENCED",
     "RELATIVE",
     "ENTRY_SEQUENCED",
     "FileSchema",
+    "FrozenList",
+    "FrozenRecord",
     "PartitionSpec",
     "Record",
     "RecordError",
     "SecuritySpec",
+    "freeze",
     "primary_key_of",
+    "thaw",
 ]
 
 KEY_SEQUENCED = "key-sequenced"
@@ -40,6 +55,71 @@ Record = Dict[str, Any]
 
 class RecordError(ValueError):
     """A record does not fit its schema."""
+
+
+def _immutable(self: Any, *args: Any, **kwargs: Any) -> NoReturn:
+    raise TypeError(
+        f"{type(self).__name__} is an immutable stored image; "
+        "build a new value instead"
+    )
+
+
+class FrozenRecord(dict):
+    """An immutable record image: a dict that raises on mutation."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __ior__ = _immutable
+    clear = pop = popitem = setdefault = update = _immutable
+
+    def __reduce__(self) -> Any:
+        # Pickle and copy by value: the default protocol would refill
+        # the new object through the blocked mutators.
+        return (FrozenRecord, (dict(self),))
+
+
+class FrozenList(list):
+    """An immutable list inside a record image (e.g. a nested key)."""
+
+    __slots__ = ()
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _immutable
+    append = clear = extend = insert = pop = remove = reverse = sort = _immutable
+
+    def __reduce__(self) -> Any:
+        return (FrozenList, (list(self),))
+
+
+def freeze(value: Any) -> Any:
+    """The immutable image of ``value`` (``value`` itself if already one).
+
+    Dicts become :class:`FrozenRecord` and lists :class:`FrozenList`, at
+    every depth; any other value is stored as it is (record fields are
+    scalars and tuples of scalars).
+    """
+    if isinstance(value, dict):
+        if value.__class__ is FrozenRecord:
+            return value
+        return FrozenRecord({key: freeze(item) for key, item in value.items()})
+    if isinstance(value, list):
+        if value.__class__ is FrozenList:
+            return value
+        return FrozenList([freeze(item) for item in value])
+    return value
+
+
+def thaw(value: Any) -> Any:
+    """A plain, mutable copy of a record image (other values as they are).
+
+    Only the top level is copied: nested values stay frozen, so code
+    that mutates them fails loudly instead of changing the stored image.
+    """
+    cls = value.__class__
+    if cls is FrozenRecord:
+        return dict(value)
+    if cls is FrozenList:
+        return list(value)
+    return value
 
 
 @dataclass(frozen=True)

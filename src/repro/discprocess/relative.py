@@ -72,7 +72,7 @@ class RelativeFile:
 
     def write(self, record_number: int, record: Any) -> Optional[Any]:
         """Store ``record`` at ``record_number``; returns the old value."""
-        header = self._header()
+        header = list(self._header())  # copy-on-write, like every block
         block_number, slot = self._locate(record_number)
         block = self.store.get(self.name, block_number)
         if block is None:

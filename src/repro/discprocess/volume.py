@@ -41,7 +41,7 @@ from typing import Any, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..guardian import ConcurrentPair, FileSystem, FileSystemError, Message, NodeOs, OsProcess
 from ..hardware import MirroredVolume, VolumeUnavailable
-from ..sim import Event, Tracer, fast_deepcopy
+from ..sim import Event, Tracer
 from .blocks import BlockKey
 from .boxcar import (
     FLUSH_FORCE,
@@ -80,7 +80,7 @@ from .ops import (
     WriteSlot,
     op_name,
 )
-from .records import ENTRY_SEQUENCED, KEY_SEQUENCED, RELATIVE
+from .records import ENTRY_SEQUENCED, KEY_SEQUENCED, RELATIVE, freeze
 from .relative import SlotError
 
 __all__ = ["DiscProcess"]
@@ -374,11 +374,11 @@ class DiscProcess(ConcurrentPair):
         elif isinstance(payload, ScanRecords):
             file = self._file(payload.file, KEY_SEQUENCED)
             rows = file.scan(payload.low, payload.high, payload.limit)
-            reply = {"ok": True, "rows": fast_deepcopy(rows)}
+            reply = {"ok": True, "rows": rows}
         elif isinstance(payload, ReadViaIndex):
             file = self._file(payload.file, KEY_SEQUENCED)
             records = file.read_via_index(payload.field, payload.value)
-            reply = {"ok": True, "records": fast_deepcopy(records)}
+            reply = {"ok": True, "records": records}
         elif isinstance(payload, (LockRecord, LockFile)):
             reply = yield from self._explicit_lock(proc, message, payload)
         elif isinstance(payload, ReadSlot):
@@ -391,14 +391,12 @@ class DiscProcess(ConcurrentPair):
             reply = yield from self._append_entry(proc, message, payload)
         elif isinstance(payload, ReadEntry):
             file = self._file(payload.file, ENTRY_SEQUENCED)
-            reply = {"ok": True, "record": fast_deepcopy(file.read_entry(payload.esn))}
+            reply = {"ok": True, "record": file.read_entry(payload.esn)}
         elif isinstance(payload, ScanEntries):
             file = self._file(payload.file, ENTRY_SEQUENCED)
             reply = {
                 "ok": True,
-                "rows": fast_deepcopy(
-                    file.scan_entries(payload.start_esn, payload.limit)
-                ),
+                "rows": file.scan_entries(payload.start_esn, payload.limit),
             }
         elif isinstance(payload, QuiesceTransaction):
             reply = yield from self._quiesce(proc, payload)
@@ -465,7 +463,7 @@ class DiscProcess(ConcurrentPair):
         record = file.read(payload.key)
         if lock_delta:
             yield from self.checkpoint_update("locks", updates=lock_delta)
-        return {"ok": True, "record": fast_deepcopy(record)}
+        return {"ok": True, "record": record}
 
     def _explicit_lock(self, proc: OsProcess, message: Message, payload: Any) -> Generator:
         if message.transid is None:
@@ -502,7 +500,7 @@ class DiscProcess(ConcurrentPair):
         record = file.read_slot(payload.record_number)
         if lock_delta:
             yield from self.checkpoint_update("locks", updates=lock_delta)
-        return {"ok": True, "record": fast_deepcopy(record)}
+        return {"ok": True, "record": record}
 
     # ------------------------------------------------------------------
     # Mutations (key-sequenced)
@@ -510,7 +508,7 @@ class DiscProcess(ConcurrentPair):
     def _insert(self, proc: OsProcess, message: Message, payload: InsertRecord) -> Generator:
         file = self._file(payload.file, KEY_SEQUENCED)
         transid = yield from self._mutation_preamble(file, message)
-        record = fast_deepcopy(payload.record)
+        record = freeze(payload.record)
         file.schema.check_record(record)
         key = file.schema.key_of(record)
         lock_delta = {}
@@ -531,7 +529,7 @@ class DiscProcess(ConcurrentPair):
     def _update(self, proc: OsProcess, message: Message, payload: UpdateRecord) -> Generator:
         file = self._file(payload.file, KEY_SEQUENCED)
         transid = yield from self._mutation_preamble(file, message)
-        record = fast_deepcopy(payload.record)
+        record = freeze(payload.record)
         file.schema.check_record(record)
         key = file.schema.key_of(record)
         if transid is not None and not self._holds_lock(transid, payload.file, key):
@@ -572,7 +570,7 @@ class DiscProcess(ConcurrentPair):
                 transid, payload.file, payload.record_number, payload.lock_timeout
             )
             lock_delta[target] = transid
-        record = fast_deepcopy(payload.record)
+        record = freeze(payload.record)
         old = file.write_slot(payload.record_number, record)
         audit = self._make_audit(
             transid, file, "write_slot", payload.record_number, old, record
@@ -584,7 +582,7 @@ class DiscProcess(ConcurrentPair):
     def _append_slot(self, proc: OsProcess, message: Message, payload: AppendSlot) -> Generator:
         file = self._file(payload.file, RELATIVE)
         transid = yield from self._mutation_preamble(file, message)
-        record = fast_deepcopy(payload.record)
+        record = freeze(payload.record)
         number = file.base.next_record_number
         lock_delta = {}
         if transid is not None:
@@ -602,7 +600,7 @@ class DiscProcess(ConcurrentPair):
     def _append_entry(self, proc: OsProcess, message: Message, payload: AppendEntry) -> Generator:
         file = self._file(payload.file, ENTRY_SEQUENCED)
         transid = yield from self._mutation_preamble(file, message)
-        record = fast_deepcopy(payload.record)
+        record = freeze(payload.record)
         esn = file.append_entry(record)
         lock_delta = {}
         if transid is not None:
@@ -694,8 +692,8 @@ class DiscProcess(ConcurrentPair):
                 file=file.name,
                 op=op,
                 key=key,
-                before=fast_deepcopy(before),
-                after=fast_deepcopy(after),
+                before=before,
+                after=after,
                 seq=seq,
             )
         ]
@@ -928,16 +926,16 @@ class DiscProcess(ConcurrentPair):
                 undone = False  # already undone (retry after takeover)
         elif op == "update":
             try:
-                file.update(fast_deepcopy(record.before))
+                file.update(record.before)
             except KeyNotFound:
                 undone = False
         elif op == "delete":
             try:
-                file.insert(fast_deepcopy(record.before))
+                file.insert(record.before)
             except DuplicateKey:
                 undone = False
         elif op == "write_slot":
-            file.write_slot(record.key, fast_deepcopy(record.before))
+            file.write_slot(record.key, record.before)
         elif op == "append_entry":
             file.base.void(record.key)
         else:
@@ -961,7 +959,7 @@ class DiscProcess(ConcurrentPair):
         """
         self.state = {}
         self._apply_state_defaults()
-        self.backup_state = fast_deepcopy(self.state)
+        self.backup_state = self.copy_state(self.state)
         self.crashed = True
         self.restart(primary_cpu, backup_cpu)
 
@@ -973,6 +971,9 @@ class DiscProcess(ConcurrentPair):
         audit_seq: int,
     ) -> int:
         """Install reconstructed file contents (ROLLFORWARD's last step).
+
+        ``content`` holds the record images of the archive and of the
+        audit trail's after-images, stored as they are (already frozen).
 
         Returns the number of physical block writes performed.
         """
@@ -998,12 +999,12 @@ class DiscProcess(ConcurrentPair):
             if organization == KEY_SEQUENCED:
                 for key in sorted(rows):
                     if rows[key] is not None:
-                        structured.base.insert(key, fast_deepcopy(rows[key]))
+                        structured.base.insert(key, rows[key])
             elif organization == RELATIVE:
                 for number in sorted(rows):
-                    structured.base.write(number, fast_deepcopy(rows[number]))
+                    structured.base.write(number, rows[number])
                 if next_numbers.get(file_name, 0) > structured.base.next_record_number:
-                    header = structured.base._header()
+                    header = list(structured.base._header())
                     header[1] = next_numbers[file_name]
                     structured.base.store.put(file_name, 0, header)
             else:
@@ -1011,7 +1012,7 @@ class DiscProcess(ConcurrentPair):
                 if rows:
                     top = max(top, max(rows) + 1)
                 for esn in range(top):
-                    structured.base.append(fast_deepcopy(rows.get(esn)))
+                    structured.base.append(rows.get(esn))
         # Rebuild alternate indices (reload used base.insert directly, so
         # index maintenance did not run).
         for file_name, structured in self.files.items():
@@ -1023,7 +1024,7 @@ class DiscProcess(ConcurrentPair):
         self.store.flush()
         self.store.journal.clear()
         self.cache.unpin(list(self.cache._entries))
-        self.backup_state = fast_deepcopy(self.state)
+        self.backup_state = self.copy_state(self.state)
         self.crashed = False
         self._trace("volume_recovered", files=sorted(schemas))
         return self.store.counters.writes - writes_before

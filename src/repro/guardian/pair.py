@@ -21,13 +21,21 @@ whatever state the backup would need.  The pair:
   *unprotected* when no CPU is available, re-protecting when one returns;
 * is *down* only when both CPUs fail before a new backup was recruited —
   the multi-module failure that §ROLLFORWARD exists for.
+
+Value semantics: a pair state maps names to *tables* (dicts) or to
+immutable values, and every value a table holds is immutable once
+checkpointed (record images, copy-on-write blocks, frozen carriers,
+tuples, scalars).  The backup can therefore share what a checkpoint
+carries instead of copying it, and copying a whole state (takeover,
+backup adoption, restart) copies only the table dicts themselves — see
+:meth:`ProcessPair.copy_state`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
-from ..sim import ATOMIC_TYPES, Tracer, fast_deepcopy
+from ..sim import Tracer
 from .message import Message
 from .process import NodeOs, OsProcess
 
@@ -132,14 +140,22 @@ class ProcessPair:
     # ------------------------------------------------------------------
     # Checkpointing
     # ------------------------------------------------------------------
+    @staticmethod
+    def copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
+        """One process's copy of a pair state: new tables, shared values."""
+        return {
+            key: dict(value) if value.__class__ is dict else value
+            for key, value in state.items()
+        }
+
     def checkpoint(self, _charge: bool = True, **entries: Any) -> Generator:
         """Replicate ``entries`` of ``self.state`` to the backup image.
 
         Costs one interprocessor checkpoint message (``_charge=False``
         piggybacks on the preceding checkpoint in the same operation and
-        costs nothing extra).  A deep copy isolates the backup image from
-        later in-place mutation by the primary — the two processes have
-        separate memories.
+        costs nothing extra).  A table (dict) entry is copied, so the
+        primary's later changes to its own table stay its own; any other
+        value is immutable and shared.
         """
         for key, value in entries.items():
             self.state[key] = value
@@ -157,9 +173,7 @@ class ProcessPair:
                     metrics.inc("pair.checkpoints")
                 if self.tracer is not None:
                     self._trace("checkpoint", keys=sorted(entries))
-            backup_state = self.backup_state
-            for key, value in entries.items():
-                backup_state[key] = fast_deepcopy(value)
+            self.backup_state.update(self.copy_state(entries))
 
     def checkpoint_update(
         self,
@@ -171,8 +185,9 @@ class ProcessPair:
         """Delta-checkpoint entries of the dict ``self.state[table]``.
 
         Applies ``updates`` and ``removals`` to the primary's table and
-        mirrors them (deep-copied) into the backup image, at the cost of
-        a single checkpoint message (``_charge=False`` piggybacks).
+        mirrors them into the backup image, at the cost of a single
+        checkpoint message (``_charge=False`` piggybacks).  The updated
+        values are immutable and shared by reference.
         Used for large tables (dirty blocks, lock grants, duplicate-
         suppression entries) where re-copying the whole table per
         operation would be wrong.
@@ -196,12 +211,7 @@ class ProcessPair:
                     self._trace("checkpoint", table=table)
             backup_table = self.backup_state.setdefault(table, {})
             if updates:
-                atomic = ATOMIC_TYPES
-                for key, value in updates.items():
-                    backup_table[key] = (
-                        value if value.__class__ in atomic
-                        else fast_deepcopy(value)
-                    )
+                backup_table.update(updates)
             for key in removals:
                 backup_table.pop(key, None)
 
@@ -244,21 +254,15 @@ class ProcessPair:
                         "checkpoint",
                         tables=[table for table, _u, _r in parts],
                     )
-            atomic = ATOMIC_TYPES
             backup_state = self.backup_state
             for table, updates, removals in parts:
                 backup_table = backup_state.setdefault(table, {})
                 if updates:
-                    for key, value in updates.items():
-                        backup_table[key] = (
-                            value if value.__class__ in atomic
-                            else fast_deepcopy(value)
-                        )
+                    backup_table.update(updates)
                 for key in removals:
                     backup_table.pop(key, None)
             if scalars:
-                for key, value in scalars.items():
-                    backup_state[key] = fast_deepcopy(value)
+                backup_state.update(scalars)
 
     # ------------------------------------------------------------------
     # Failure handling
@@ -288,7 +292,7 @@ class ProcessPair:
         # Promote: the backup's knowledge is exactly the checkpointed image.
         self.takeovers += 1
         self.primary_cpu, self.backup_cpu = self.backup_cpu, None
-        self.state = fast_deepcopy(self.backup_state)
+        self.state = self.copy_state(self.backup_state)
         self._apply_state_defaults()
         self.on_takeover()
         self.primary_process = self.node_os.spawn(
@@ -322,7 +326,7 @@ class ProcessPair:
 
     def _adopt_backup(self, cpu_number: int) -> None:
         self.backup_cpu = cpu_number
-        self.backup_state = fast_deepcopy(self.state)
+        self.backup_state = self.copy_state(self.state)
         self._trace("backup_adopted", cpu=cpu_number)
 
     def restart(self, primary_cpu: int, backup_cpu: Optional[int] = None) -> None:
@@ -335,7 +339,7 @@ class ProcessPair:
         if self.available:
             raise RuntimeError(f"pair {self.name} is still available")
         self.primary_cpu = primary_cpu
-        self.state = fast_deepcopy(self.backup_state)
+        self.state = self.copy_state(self.backup_state)
         self._apply_state_defaults()
         self.on_takeover()
         self.primary_process = self.node_os.spawn(

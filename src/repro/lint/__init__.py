@@ -4,7 +4,8 @@ The simulation's correctness rests on invariants that runtime checks can
 only sample: bit-determinism (no wall-clock or ambient entropy), the
 paper's layering (hardware -> GUARDIAN -> DISCPROCESS/TMF -> ENCOMPASS),
 Figure 3's transaction state graph, probe coverage on every guardian
-send path, and exception hygiene in recovery code.  ``repro.lint``
+send path, exception hygiene in recovery code, and a runtime that shares
+immutable values instead of deep-copying them.  ``repro.lint``
 enforces them *at rest*: an AST pass over the source that fails CI on
 any code path that could violate them, before a seed ever executes.
 

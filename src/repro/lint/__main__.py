@@ -26,7 +26,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "GUARDRAIL: AST-based checks for determinism, layering, "
-            "Figure-3 transitions, probe coverage, and exception hygiene."
+            "Figure-3 transitions, probe coverage, exception hygiene, "
+            "and deep copies in the runtime layers."
         ),
     )
     parser.add_argument(

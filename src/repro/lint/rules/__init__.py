@@ -1,5 +1,7 @@
 """GUARDRAIL rule modules.  Importing this package registers every rule."""
 
-from . import determinism, exceptions, figure3, layering, probes  # noqa: F401
+from . import copying, determinism, exceptions, figure3, layering, probes  # noqa: F401
 
-__all__ = ["determinism", "exceptions", "figure3", "layering", "probes"]
+__all__ = [
+    "copying", "determinism", "exceptions", "figure3", "layering", "probes",
+]

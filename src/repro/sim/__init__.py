@@ -8,12 +8,7 @@ structured tracing.
 
 from .channel import Channel, ChannelClosed
 from .engine import EmptySchedule, Environment
-from .fastcopy import (
-    ATOMIC_TYPES,
-    fast_deepcopy,
-    register_fastcopy,
-    register_immutable,
-)
+from .fastcopy import fast_deepcopy
 from .events import (
     AllOf,
     AnyOf,
@@ -43,9 +38,6 @@ __all__ = [
     "Timeout",
     "TraceRecord",
     "Tracer",
-    "ATOMIC_TYPES",
     "fast_deepcopy",
-    "register_fastcopy",
-    "register_immutable",
     "zipf_weights",
 ]

@@ -304,25 +304,48 @@ class Condition(Event):
                 raise SimulationError("events belong to different environments")
         self._pending = 0
         for event in self.events:
+            if self.triggered:
+                break  # the rest is released below, never hooked
             if event.callbacks is None:
                 self._check(event)
             else:
                 self._pending += 1
                 event.callbacks.append(self._on_trigger)
-        if not self.triggered:
+        if self.triggered:
+            self._release()
+        else:
             self._maybe_finish()
 
     def _on_trigger(self, event: Event) -> None:
         self._pending -= 1
         if not event._ok:
-            # The condition owns its constituents' failures: a late
-            # failure (after the condition already triggered) must not
-            # abort the simulation as "unhandled".
             event.defused = True
         if not self.triggered:
             self._check(event)
             if not self.triggered:
                 self._maybe_finish()
+            if self.triggered:
+                self._release()
+
+    def _release(self) -> None:
+        """Unhook from the constituents still pending once triggered.
+
+        A triggered condition ignores its constituents, except that it
+        owns their failures: a late failure must not abort the run as
+        "unhandled".  Marking them ``defused`` now is exactly what the
+        callback would do when they fired, and dropping the callback
+        stops a losing constituent — typically a request's deadline
+        timer — from keeping this condition, its value dict and the
+        winner's value alive until it fires.  No event is added,
+        removed or reordered.
+        """
+        on_trigger = self._on_trigger
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks is not None:
+                event.defused = True
+                while on_trigger in callbacks:
+                    callbacks.remove(on_trigger)
 
     def _check(self, event: Event) -> None:
         raise NotImplementedError

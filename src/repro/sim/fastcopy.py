@@ -1,114 +1,48 @@
-"""Fast deep copies of plain-data trees (the checkpoint hot path).
+"""Deep copies of plain-data trees, kept for tooling only.
 
-Profiling the debit/credit workload shows the simulator spending more
-than half its wall-clock inside :func:`copy.deepcopy`: every checkpoint
-mirrors record images into the backup process's memory, every
-DISCPROCESS reply isolates records from later in-place mutation, and
-every audit image carries before/after record copies.  The values being
-copied are overwhelmingly *plain data* — dicts, lists, tuples and
-scalars (records are dicts of field values; B-tree blocks are nested
-lists) — for which the generic ``deepcopy`` machinery (memo dict,
-reduce protocol, per-object dispatch) is pure overhead.
+The runtime layers copy nothing: every value a DISCPROCESS or a
+process pair stores is immutable once stored and is shared by
+reference (see :mod:`repro.discprocess.records`), and the GUARDRAIL
+rule ``no-deepcopy`` keeps it that way.  Only the requester's
+file-system client copies, once per reply, into a plain dict.
 
-:func:`fast_deepcopy` handles exactly those shapes with direct
-recursion and falls back to :func:`copy.deepcopy` for anything it does
-not recognize, so it is a drop-in replacement wherever the copied value
-has *value semantics* (no reliance on aliasing within the copied tree,
-no cycles).  Checkpoint images, record replies and audit images all
-qualify: the copy exists precisely so the original can be mutated
-independently.
-
-Layers above ``sim`` register their own value-like carrier types:
-
-* :func:`register_immutable` — the type is deeply immutable (e.g. a
-  frozen dataclass of scalars); instances are returned as-is.
-* :func:`register_fastcopy` — a custom copier for a type whose fields
-  are themselves plain data (e.g. an audit record carrying two record
-  images).
+:func:`fast_deepcopy` stays here, exported by :mod:`repro.sim`, for
+tools that look it up by module name (a benchmark counts calls of it as
+the copy counter, which therefore reads zero).  It handles dicts,
+lists, tuples, sets and scalars by direct recursion and falls back to
+:func:`copy.deepcopy` for anything else.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Any, Callable, Type
+from typing import Any
 
-__all__ = [
-    "ATOMIC_TYPES",
-    "fast_deepcopy",
-    "register_immutable",
-    "register_fastcopy",
-]
+__all__ = ["fast_deepcopy"]
 
-#: exact types returned as-is (deeply immutable).  Registered frozen
-#: dataclasses of scalars join this set via :func:`register_immutable`.
-_ATOMIC = {
+#: exact types returned as-is (deeply immutable).
+_ATOMIC = frozenset({
     type(None), bool, int, float, complex, str, bytes, type, range,
-}
-
-#: public alias (the same live set) for callers that want to inline the
-#: "is it atomic?" test at their own hot sites before paying the call.
-ATOMIC_TYPES = _ATOMIC
-
-#: exact type -> copier, for registered carrier types.
-_COPIERS: dict = {}
-
-
-def register_immutable(cls: Type) -> Type:
-    """Mark ``cls`` as deeply immutable: instances are shared, not copied.
-
-    Usable as a class decorator.  Only exact instances are recognized
-    (subclasses still take the generic fallback).
-    """
-    _ATOMIC.add(cls)
-    return cls
-
-
-def register_fastcopy(cls: Type, copier: Callable[[Any], Any]) -> None:
-    """Register ``copier`` as the fast copier for exact instances of ``cls``."""
-    _COPIERS[cls] = copier
+})
 
 
 def fast_deepcopy(obj: Any) -> Any:
-    """A deep copy of ``obj``, specialized for plain-data trees.
+    """A deep copy of ``obj``, specialized for acyclic plain-data trees.
 
-    Equivalent to :func:`copy.deepcopy` for acyclic value data; shared
-    sub-objects are duplicated rather than kept shared (the memo of the
-    generic machinery is what this function exists to avoid).  Dict keys
-    are hashable — immutable for plain data — and are shared.
+    Shared sub-objects are duplicated rather than kept shared, and dict
+    keys (hashable, so immutable for plain data) are shared.
     """
     cls = obj.__class__
     if cls in _ATOMIC:
         return obj
-    # Containers inline the atomic test for each element: the leaves of
-    # record trees are overwhelmingly scalars, and skipping a recursive
-    # call per scalar is most of this module's win.
-    atomic = _ATOMIC
     if cls is dict:
-        return {
-            key: value if value.__class__ in atomic else fast_deepcopy(value)
-            for key, value in obj.items()
-        }
+        return {key: fast_deepcopy(value) for key, value in obj.items()}
     if cls is list:
-        return [
-            item if item.__class__ in atomic else fast_deepcopy(item)
-            for item in obj
-        ]
+        return [fast_deepcopy(item) for item in obj]
     if cls is tuple:
-        return tuple(
-            item if item.__class__ in atomic else fast_deepcopy(item)
-            for item in obj
-        )
+        return tuple(fast_deepcopy(item) for item in obj)
     if cls is set:
-        return {
-            item if item.__class__ in atomic else fast_deepcopy(item)
-            for item in obj
-        }
+        return {fast_deepcopy(item) for item in obj}
     if cls is frozenset:
-        return frozenset(
-            item if item.__class__ in atomic else fast_deepcopy(item)
-            for item in obj
-        )
-    copier = _COPIERS.get(cls)
-    if copier is not None:
-        return copier(obj)
+        return frozenset(fast_deepcopy(item) for item in obj)
     return copy.deepcopy(obj)

@@ -7,8 +7,8 @@ Two independent proofs:
   The optimized simulator must reproduce them bit for bit.  The run
   exercises every layer the optimization touched: event scheduling
   (__slots__ events, bound heap ops), process-pair checkpoints and
-  DISCPROCESS record images (fast_deepcopy), message dispatch, and the
-  cache probe sites.
+  DISCPROCESS record images (shared frozen images since FREEZE), message
+  dispatch, and the cache probe sites.
 * **hash-seed independence** — the same digests under two different
   ``PYTHONHASHSEED`` values (fresh interpreters).  Iteration order of
   str-keyed dicts varies across hash seeds; identical output means no

@@ -409,6 +409,88 @@ class TestProbeCoverageRule:
 
 
 # ----------------------------------------------------------------------
+# no-deepcopy
+# ----------------------------------------------------------------------
+class TestNoDeepcopyRule:
+    def test_copies_in_runtime_layers(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/guardian/mirror.py": """\
+                import copy
+
+
+                def mirror(state):
+                    return copy.deepcopy(state)
+                """,
+            "repro/discprocess/reply.py": """\
+                from ..sim import fast_deepcopy
+
+
+                def reply(record):
+                    return {"ok": True, "record": fast_deepcopy(record)}
+                """,
+            "repro/core/undo.py": """\
+                from copy import deepcopy as clone
+                from repro.sim.fastcopy import fast_deepcopy
+
+
+                def undo(image):
+                    return clone(image), fast_deepcopy(image)
+                """,
+        })
+        result = lint(tmp_path, select=["no-deepcopy"])
+        located = sorted((f.path.split("repro/")[-1], f.line) for f in result.findings)
+        assert located == [
+            ("core/undo.py", 6), ("core/undo.py", 6),
+            ("discprocess/reply.py", 5), ("guardian/mirror.py", 5),
+        ]
+        assert all("immutable" in f.message for f in result.findings)
+
+    def test_fastcopy_module_and_upper_layers_are_exempt(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/sim/fastcopy.py": """\
+                import copy
+
+
+                def fast_deepcopy(obj):
+                    if isinstance(obj, list):
+                        return [fast_deepcopy(item) for item in obj]
+                    return copy.deepcopy(obj)
+                """,
+            "repro/apps/ledger.py": """\
+                import copy
+
+
+                def snapshot(rows):
+                    return copy.deepcopy(rows)
+                """,
+            "repro/bench/report.py": """\
+                import copy
+
+
+                def baseline(report):
+                    return copy.deepcopy(report)
+                """,
+        })
+        assert not lint(tmp_path, select=["no-deepcopy"]).findings
+
+    def test_shallow_copies_and_freezing_are_legal(self, tmp_path):
+        write_tree(tmp_path, {
+            "repro/guardian/tables.py": """\
+                import copy
+
+
+                def copy_state(state):
+                    return {key: dict(value) for key, value in state.items()}
+
+
+                def shallow(block):
+                    return copy.copy(block)
+                """,
+        })
+        assert not lint(tmp_path, select=["no-deepcopy"]).findings
+
+
+# ----------------------------------------------------------------------
 # exception-hygiene
 # ----------------------------------------------------------------------
 class TestExceptionHygieneRule:

@@ -237,6 +237,65 @@ def test_all_of_empty_triggers_immediately():
     assert env.run(env.process(proc())) == 0
 
 
+# ----------------------------------------------------------------------
+# A triggered condition releases the constituents still pending
+# ----------------------------------------------------------------------
+def test_any_of_unhooks_the_loser_once_triggered():
+    env = Environment()
+    slow = env.timeout(10, value="slow")
+
+    def proc():
+        result = yield env.any_of([env.timeout(1, value="fast"), slow])
+        return list(result.values())
+
+    assert env.run(env.process(proc())) == ["fast"]
+    assert slow.callbacks == [] and slow.defused
+    env.run()
+    assert env.now == 10  # the loser still fires on schedule
+
+
+@pytest.mark.parametrize("combine", [AnyOf, AllOf], ids=["any_of", "all_of"])
+def test_late_failure_after_trigger_does_not_abort_run(combine):
+    env = Environment()
+    first = env.event()
+    late = env.event()
+
+    def proc():
+        try:
+            yield combine(env, [first, late])
+        except RuntimeError:
+            pass  # AllOf fails on the first failure
+
+    env.process(proc())
+
+    def fire():
+        yield env.timeout(1)
+        if combine is AnyOf:
+            first.succeed("won")
+        else:
+            first.fail(RuntimeError("first"))
+        yield env.timeout(1)
+        late.fail(RuntimeError("late"))
+
+    env.process(fire())
+    env.run()  # the late failure is owned by the condition: no abort
+    assert late.processed and late.defused
+
+
+def test_condition_triggered_in_constructor_releases_the_rest():
+    env = Environment()
+    done_a, done_b = env.event(), env.event()
+    done_a.succeed("a")
+    done_b.succeed("b")
+    env.run()
+    pending = env.event()
+    condition = env.any_of([done_a, done_b, pending])
+    assert condition.triggered
+    assert pending.callbacks == [] and pending.defused
+    env.run()
+    assert condition.value == {done_a: "a", done_b: "b"}
+
+
 def test_yield_non_event_fails_process():
     env = Environment()
 

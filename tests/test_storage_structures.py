@@ -1,5 +1,7 @@
 """Unit and property tests for the structured-file layer."""
 
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -520,4 +522,72 @@ class TestCache:
         cache.clear()
         for i in range(100):
             assert tree.read((i,)) == i
+        tree.check_invariants()
+
+
+def _cached_store_over(physical, capacity=8):
+    return CachedVolumeStore(
+        BlockCache(capacity=capacity),
+        physical_read=lambda key: physical.get(key),
+        physical_write=lambda key, block: physical.__setitem__(key, block),
+        physical_delete=lambda key: physical.pop(key, None),
+        list_blocks=lambda f: [k for k in physical if k[0] == f],
+    )
+
+
+def _with_record(tree):
+    tree.insert(("a",), {"v": 1})
+    return tree
+
+
+class TestCopyOnWriteBlocks:
+    """A write stores a new block; the image already on disc never changes.
+
+    The mirrored volume stores block objects by reference, so a file
+    that edited its cached header in place would change the on-disc
+    image before the block was physically written.
+    """
+
+    @pytest.mark.parametrize("make, write", [
+        (lambda store: KeySequencedFile(store, "f", create=True),
+         lambda file: file.insert(("a",), {"v": 1})),
+        (lambda store: _with_record(KeySequencedFile(store, "f", create=True)),
+         lambda file: file.delete(("a",))),
+        (lambda store: RelativeFile(store, "f", create=True),
+         lambda file: file.write(3, {"v": 1})),
+        (lambda store: EntrySequencedFile(store, "f", create=True),
+         lambda file: file.append({"v": 1})),
+    ], ids=["keyseq-insert", "keyseq-delete", "relative-write", "entryseq-append"])
+    def test_on_disc_header_unchanged_until_written(self, make, write):
+        physical = {}
+        store = _cached_store_over(physical)
+        file = make(store)
+        store.flush()
+        on_disc = {key: copy.deepcopy(block) for key, block in physical.items()}
+        write(file)
+        assert physical == on_disc  # nothing physically written yet
+        store.flush()
+        assert physical[("f", 0)] != on_disc[("f", 0)]
+
+    def test_keyseq_header_after_flush_and_insert(self):
+        physical = {}
+        store = _cached_store_over(physical)
+        tree = KeySequencedFile(store, "f", create=True)
+        store.flush()
+        tree.insert(("a",), {"v": 1})
+        assert physical[("f", 0)] == ["H", 1, 2, 0]
+        store.flush()
+        assert physical[("f", 0)] == ["H", 1, 2, 1]
+
+    def test_splits_never_touch_stored_blocks(self):
+        physical = {}
+        store = _cached_store_over(physical, capacity=512)
+        tree = KeySequencedFile(store, "f", leaf_capacity=4, fanout=4, create=True)
+        for i in range(0, 60, 2):
+            tree.insert((i,), i)
+        store.flush()
+        on_disc = {key: copy.deepcopy(block) for key, block in physical.items()}
+        for i in range(1, 60, 2):
+            tree.insert((i,), i)
+        assert physical == on_disc
         tree.check_invariants()
