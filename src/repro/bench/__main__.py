@@ -1,15 +1,20 @@
 """Command-line entry point: ``python -m repro.bench``.
 
-Runs the pinned-seed experiment suite, writes the schema-versioned
-report, and (when a baseline exists) compares against it:
+Runs the pinned-seed experiment suite, prints the paper tables it
+reproduces, writes the schema-versioned report, and compares it with the
+committed smoke baseline (``baseline.json`` beside this file):
 
-* exit 1 on **counter drift** — the simulated history changed;
+* exit 1 if a **paper claim** fails, in any mode;
+* exit 1 on **counter drift** (the simulated history changed) or when
+  the baseline is missing;
 * exit 0 with ``::warning::`` lines on a wall-clock **soft fail**;
-* exit 0 silently when clean.
+* exit 0 when clean.
 
-``--update-baseline`` re-records the baseline in place (do this in the
-same change that intentionally alters simulated behaviour, and say why
-in the commit message).
+Counters are compared only between runs of the same mode, so ``--full``
+exits on the claim checks alone.  ``--update-baseline`` re-records the
+smoke baseline in place (do this in the same change that intentionally
+alters simulated behaviour, and say why in the commit message); a
+failing claim leaves the file untouched.
 """
 
 from __future__ import annotations
@@ -19,14 +24,16 @@ import json
 import sys
 from pathlib import Path
 
-from .compare import COUNTER_DRIFT, COUNTER_IMPROVEMENT, compare_reports
-from .experiments import EXPERIMENTS, determinism_digests, run_suite
+from repro.measure.tables import format_table
+
+from .compare import BASELINE, COUNTER_DRIFT, COUNTER_IMPROVEMENT, compare_reports
+from .experiments import EXPERIMENTS, ClaimFailed, determinism_digests, run_suite
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the FASTPATH bench suite and compare to the baseline.",
+        description="Run the paper-claim bench suite and compare to the baseline.",
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
@@ -49,12 +56,12 @@ def main(argv=None) -> int:
         help="where to write the report (default: %(default)s)",
     )
     parser.add_argument(
-        "--baseline", default="benchmarks/BENCH_baseline.json", metavar="PATH",
-        help="baseline to compare against (default: %(default)s)",
+        "--baseline", default=str(BASELINE), metavar="PATH",
+        help="baseline to compare against (default: the committed one)",
     )
     parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write the report to the baseline path instead of comparing",
+        help="write the smoke report to the baseline path instead of comparing",
     )
     parser.add_argument(
         "--threshold", type=float, default=0.40, metavar="FRAC",
@@ -65,6 +72,9 @@ def main(argv=None) -> int:
         help="print the determinism digests (XRAY/TRACE SHA-256) and exit",
     )
     args = parser.parse_args(argv)
+    if args.update_baseline and args.full:
+        parser.error("the baseline records the smoke suite; "
+                     "--update-baseline cannot take --full")
 
     if args.list:
         for name in EXPERIMENTS:
@@ -83,11 +93,16 @@ def main(argv=None) -> int:
 
     def progress(name, section):
         wall = section["wall_ms"]["median"]
-        print(f"  {name:<24s} {wall:>9.1f} ms  "
-              f"{_counters_brief(section['counters'])}", flush=True)
+        print(f"  {name:<24s} {wall:>9.1f} ms", flush=True)
+        for title, rows in section["info"].get("tables", {}).items():
+            print(format_table(rows, title=title), flush=True)
 
-    report = run_suite(scale=scale, repeats=repeats, only=args.only,
-                       progress=progress)
+    try:
+        report = run_suite(scale=scale, repeats=repeats, only=args.only,
+                           progress=progress)
+    except ClaimFailed as exc:
+        print(f"repro.bench: PAPER CLAIM FAILED — {exc}", file=sys.stderr)
+        return 1
 
     out_path = Path(args.baseline if args.update_baseline else args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -99,9 +114,14 @@ def main(argv=None) -> int:
 
     baseline_path = Path(args.baseline)
     if not baseline_path.exists():
-        print(f"repro.bench: no baseline at {baseline_path}, skipping compare")
-        return 0
+        print(f"repro.bench: no baseline at {baseline_path}", file=sys.stderr)
+        return 1
     baseline = json.loads(baseline_path.read_text())
+    if baseline.get("mode") != report["mode"]:
+        print(f"repro.bench: counters not compared — the baseline is a "
+              f"{baseline.get('mode')!r} run, this is a {report['mode']!r} "
+              f"run; every paper claim passed")
+        return 0
     if args.only:
         # A partial run compares only the experiments it ran.
         baseline = dict(baseline)
@@ -109,7 +129,6 @@ def main(argv=None) -> int:
             k: v for k, v in baseline.get("experiments", {}).items()
             if k in set(args.only)
         }
-        baseline["mode"] = report["mode"]
     comparison = compare_reports(baseline, report, threshold=args.threshold)
     for warning in comparison.warnings:
         print(f"::warning::repro.bench {warning}")
@@ -132,13 +151,6 @@ def main(argv=None) -> int:
         return 1
     print(f"repro.bench: verdict {comparison.verdict}")
     return 0
-
-
-def _counters_brief(counters) -> str:
-    shown = {k: counters[k] for k in list(counters)[:3]}
-    inner = ", ".join(f"{k}={v}" for k, v in shown.items())
-    suffix = ", ..." if len(counters) > 3 else ""
-    return f"{{{inner}{suffix}}}"
 
 
 if __name__ == "__main__":

@@ -30,9 +30,11 @@ reported as counter drift, since the counters cannot agree).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List
 
 __all__ = [
+    "BASELINE",
     "CLEAN",
     "COUNTER_DRIFT",
     "COUNTER_IMPROVEMENT",
@@ -41,6 +43,9 @@ __all__ = [
     "WALL_CLOCK_SOFT_FAIL",
     "compare_reports",
 ]
+
+#: the committed smoke baseline, found wherever the suite is run from.
+BASELINE = Path(__file__).with_name("baseline.json")
 
 #: report schema version; bump on any incompatible shape change.
 SCHEMA = "repro.bench/1"

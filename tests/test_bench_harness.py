@@ -5,7 +5,8 @@ runner must produce deterministic counters, the report must round-trip
 through JSON unchanged (it is diffed against a checked-in baseline),
 and the comparator must land on exactly one of its four verdicts —
 clean, counter-drift, counter-improvement, wall-clock-soft-fail — for
-the right reasons.
+the right reasons.  Above all of that, a broken paper claim must fail
+every mode of the CLI and never reach the baseline file.
 """
 
 import copy
@@ -14,8 +15,10 @@ import json
 import pytest
 
 from repro.bench import (
+    BASELINE,
     CLEAN,
     COUNTER_DRIFT,
+    ClaimFailed,
     COUNTER_IMPROVEMENT,
     EXPERIMENTS,
     SCHEMA,
@@ -24,6 +27,7 @@ from repro.bench import (
     run_experiment,
     run_suite,
 )
+from repro.bench.__main__ import main
 
 
 # ----------------------------------------------------------------------
@@ -197,23 +201,84 @@ def test_mode_mismatch_is_drift():
 # ----------------------------------------------------------------------
 # The committed baseline matches a fresh run (the actual CI gate).
 # ----------------------------------------------------------------------
-def test_committed_baseline_matches_fresh_run(repo_root):
-    baseline_path = repo_root / "benchmarks" / "BENCH_baseline.json"
-    baseline = json.loads(baseline_path.read_text())
+def test_committed_baseline_matches_fresh_run():
+    baseline = json.loads(BASELINE.read_text())
     assert baseline["schema"] == SCHEMA
-    # One representative experiment end to end (the full suite runs in
-    # the bench-smoke CI job; here we keep the tier-1 suite fast).
-    name = "e10_process_pairs"
-    fresh = run_experiment(name, scale="smoke")
-    assert fresh["counters"] == baseline["experiments"][name]["counters"], (
+    assert baseline["mode"] == "smoke"
+    # The whole smoke suite: every experiment's paper claims are checked
+    # (a broken one raises) and every counter must match.
+    fresh = run_suite(scale="smoke")
+    assert {name: section["counters"]
+            for name, section in fresh["experiments"].items()} == {
+        name: section["counters"]
+        for name, section in baseline["experiments"].items()
+    }, (
         "simulated history drifted from the committed baseline — if the "
         "change is intentional, re-record with "
         "`python -m repro.bench --smoke --update-baseline`"
     )
 
 
-@pytest.fixture
-def repo_root():
-    from pathlib import Path
+# ----------------------------------------------------------------------
+# Paper claims fail closed; the CLI finds its baseline from anywhere.
+# ----------------------------------------------------------------------
+def _break_path_redundancy(monkeypatch):
+    # With no direct lines, F1's node-to-node path count drops to one.
+    from repro.hardware import Network
 
-    return Path(__file__).resolve().parent.parent
+    monkeypatch.setattr(Network, "lines_between", lambda self, a, b: [])
+
+
+def test_broken_claim_makes_run_suite_raise(monkeypatch):
+    _break_path_redundancy(monkeypatch)
+    with pytest.raises(ClaimFailed, match="f1_hardware_paths: at least two "
+                       "paths connect any two components"):
+        run_suite(scale="smoke", only=["f1_hardware_paths"])
+
+
+@pytest.fixture
+def cli(monkeypatch, tmp_path):
+    """Run the CLI on F1 from a scratch directory, not the repo root."""
+    before = BASELINE.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    yield lambda *args: main([*args, "--only", "f1_hardware_paths"])
+    assert BASELINE.read_bytes() == before, "the committed baseline changed"
+
+
+@pytest.mark.parametrize("mode", [["--smoke"], ["--full"],
+                                  ["--smoke", "--update-baseline"]])
+def test_broken_claim_fails_every_mode(mode, cli, monkeypatch, tmp_path, capsys):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_bytes(BASELINE.read_bytes())
+    _break_path_redundancy(monkeypatch)
+    assert cli(*mode, "--baseline", str(baseline)) == 1
+    assert "PAPER CLAIM FAILED" in capsys.readouterr().err
+    assert baseline.read_bytes() == BASELINE.read_bytes()
+
+
+def test_cli_compares_against_committed_baseline_from_any_directory(
+        cli, tmp_path, capsys):
+    assert cli("--smoke") == 0
+    out = capsys.readouterr().out
+    assert "verdict clean" in out
+    assert "F1: single-module failure survey" in out, "tables are printed"
+    assert (tmp_path / "out" / "BENCH_fastpath.json").exists()
+
+
+def test_cli_missing_baseline_fails(cli, tmp_path, capsys):
+    assert cli("--baseline", str(tmp_path / "absent.json")) == 1
+    assert "no baseline" in capsys.readouterr().err
+
+
+def test_cli_same_mode_counter_drift_fails(cli, tmp_path, capsys):
+    report = json.loads(BASELINE.read_text())
+    report["experiments"]["f1_hardware_paths"]["counters"]["components"] += 1
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(report))
+    assert cli("--smoke", "--baseline", str(baseline)) == 1
+    assert "COUNTER DRIFT" in capsys.readouterr().err
+
+
+def test_cli_full_run_skips_counter_compare(cli, capsys):
+    assert cli("--full") == 0
+    assert "counters not compared" in capsys.readouterr().out

@@ -52,6 +52,7 @@ class TestQuickFlow:
         })
         assert not reply["ok"]
         assert reply["error"] == "aborted"
+        assert reply["attempts"] == 1  # a voluntary abort is not restarted
         assert "insufficient_funds" in reply["reason"]
         report = check_consistency(system, "alpha")
         assert report["consistent"]

@@ -290,6 +290,7 @@ class TestProcessPair:
         proc = cluster.os("alpha").spawn("$client", 2, client)
         cluster.os("alpha").spawn("$sab", 3, saboteur, register=False)
         assert cluster.run(proc.sim_process) == 1
+        assert cluster.env.now < 50  # the takeover costs milliseconds at most
 
     def test_duplicate_suppression_after_takeover(self):
         """If the old primary completed the op and checkpointed before
@@ -326,6 +327,17 @@ class TestProcessPair:
         cluster.node("alpha").fail_cpu(1)
         assert pair.available
         assert pair.backup_cpu in (2, 3)
+
+        # Re-protected, the pair then survives its primary's failure too.
+        def client(proc):
+            first = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
+            cluster.node("alpha").fail_cpu(0)
+            second = yield from cluster.fs("alpha").send(proc, "$ctr", "inc")
+            return (first, second)
+
+        proc = cluster.os("alpha").spawn("$client", 2, client)
+        assert cluster.run(proc.sim_process) == (1, 2)
+        assert pair.takeovers == 1
 
     def test_unprotected_until_cpu_returns(self):
         cluster = make_cluster(cpus=2)
