@@ -42,6 +42,7 @@ from .experiments import (
     EXPERIMENTS,
     ClaimFailed,
     determinism_digests,
+    determinism_run,
     run_experiment,
     run_suite,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "WALL_CLOCK_SOFT_FAIL",
     "compare_reports",
     "determinism_digests",
+    "determinism_run",
     "run_experiment",
     "run_suite",
 ]

@@ -105,6 +105,11 @@ def main(argv=None) -> int:
         return 1
 
     out_path = Path(args.baseline if args.update_baseline else args.out)
+    if args.update_baseline and args.only and out_path.exists():
+        # A partial re-record replaces only the experiments it ran.
+        merged = json.loads(out_path.read_text())
+        merged["experiments"].update(report["experiments"])
+        report = merged
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"repro.bench: report written to {out_path}")

@@ -69,7 +69,7 @@ _COST_COUNTERS = frozenset({
     "lock_timeouts",
     "restarts",
 })
-_COST_PREFIXES = ("audit_batches_", "net_msgs_")
+_COST_PREFIXES = ("audit_batches_", "events_", "net_msgs_")
 
 
 def _is_cost_counter(key: str) -> bool:

@@ -58,7 +58,7 @@ from repro.discprocess import (
     MemoryBlockStore,
     PartitionSpec,
 )
-from repro.encompass import SystemBuilder, compile_query
+from repro.encompass import EncompassSystem, SystemBuilder, compile_query
 from repro.guardian import Cluster, ConcurrentPair
 from repro.hardware import Latencies, Network, Node
 from repro.sim import Environment
@@ -68,6 +68,7 @@ __all__ = [
     "ClaimFailed",
     "EXPERIMENTS",
     "determinism_digests",
+    "determinism_run",
     "run_experiment",
     "run_suite",
 ]
@@ -1283,14 +1284,12 @@ def run_suite(
 # ----------------------------------------------------------------------
 # Determinism digests (hash-randomization and fast-path identity proofs)
 # ----------------------------------------------------------------------
-def determinism_digests(seed: int = 11) -> Dict[str, str]:
-    """SHA-256 digests of a measured+traced pinned-seed banking run.
+def determinism_run(seed: int = 11) -> EncompassSystem:
+    """The measured+traced pinned-seed banking run behind the digests.
 
     The run covers every layer the FASTPATH optimisation touched (event
     scheduling, checkpointing, DISCPROCESS record images, audit images,
-    message dispatch), so a byte-identical XRAY report and TRACE
-    timeline across interpreter sessions — and across the optimisation
-    itself — is strong evidence the simulated history is unchanged.
+    message dispatch).  Returns the finished system.
     """
     system, terminals = _build_banking(
         seed, accounts=16, tellers=6, terminals=6, measure=True,
@@ -1301,6 +1300,18 @@ def determinism_digests(seed: int = 11) -> Dict[str, str]:
         _banking_input(16, tellers=6, amounts=(-20, -5, 5, 10, 25)),
         duration=1500.0, think_time=10.0, rng=random.Random(99),
     )
+    return system
+
+
+def determinism_digests(seed: int = 11) -> Dict[str, str]:
+    """SHA-256 digests of :func:`determinism_run`'s XRAY report and
+    TRACE timeline.
+
+    A byte-identical report and timeline across interpreter sessions —
+    and across an optimisation — is strong evidence the simulated
+    history is unchanged.
+    """
+    system = determinism_run(seed)
     return {
         "xray_sha256": hashlib.sha256(
             system.xray_json().encode()

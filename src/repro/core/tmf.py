@@ -23,8 +23,9 @@ home node of each transaction coordinates that transaction only.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from ..discprocess.ops import ForceBoxcar, QuiesceTransaction, ReleaseLocks
 from ..guardian import (
@@ -112,7 +113,7 @@ class TmfNode:
         self.generator = TransidGenerator(self.node_name)
         self.broadcaster = StateBroadcaster(node_os.node, tracer)
         self.records: Dict[Transid, TransactionRecord] = {}
-        self._done_order: List[Transid] = []
+        self._done_order: Deque[Transid] = deque()
         # The Monitor Audit Trail: history of commit/abort records.
         self.monitor_trail = AuditTrail(monitor_volume, prefix="MM")
         self.dispositions: Dict[Transid, str] = {}
@@ -530,7 +531,7 @@ class TmfNode:
                 audit_object.forget_transaction(record.transid)
         self._done_order.append(record.transid)
         while len(self._done_order) > self.config.done_retention:
-            old = self._done_order.pop(0)
+            old = self._done_order.popleft()
             self.records.pop(old, None)
 
     # ------------------------------------------------------------------

@@ -126,6 +126,7 @@ class LockManager:
         deadline = self.env.timeout(timeout)
         outcome = yield AnyOf(self.env, [waiter.event, deadline])
         if waiter.event in outcome:
+            deadline.cancel()
             self._observe_wait(transid, wait_start, timed_out=False)
             return  # granted by a release
         self._remove_waiter(waiter)

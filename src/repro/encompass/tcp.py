@@ -26,8 +26,9 @@ terminal input runs one *logical transaction unit*:
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Generator, Optional, Tuple
 
 from ..core import TmfNode, TransactionAborted
 from ..guardian import (
@@ -133,7 +134,7 @@ class TerminalControlProcess(ConcurrentPair):
         self.restarts_total = 0
         super().__init__(node_os, name, primary_cpu, backup_cpu, tracer)
         self._apply_state_defaults()
-        self._completed_order: List[int] = []
+        self._completed_order: Deque[int] = deque()
 
     def state_defaults(self) -> Dict[str, Any]:
         return {"completed": {}, "inputs": {}, "pending_commit": {}}
@@ -353,7 +354,7 @@ class TerminalControlProcess(ConcurrentPair):
     def _remember(self, msg_id: int) -> None:
         self._completed_order.append(msg_id)
         while len(self._completed_order) > 1024:
-            old = self._completed_order.pop(0)
+            old = self._completed_order.popleft()
             self.state["completed"].pop(old, None)
             self.backup_state.get("completed", {}).pop(old, None)
 

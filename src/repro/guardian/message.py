@@ -224,8 +224,13 @@ class MessageSystem:
                 reply = yield message.reply_event
                 return reply
             deadline = self.env.timeout(timeout)
-            outcome = yield self.env.any_of([message.reply_event, deadline])
+            try:
+                outcome = yield self.env.any_of([message.reply_event, deadline])
+            except DeliveryError:
+                deadline.cancel()  # the reply failed; nothing waits on it
+                raise
             if message.reply_event in outcome:
+                deadline.cancel()
                 return outcome[message.reply_event]
             raise RequestTimeout(f"{message!r} after {timeout}ms")
         finally:

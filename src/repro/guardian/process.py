@@ -82,6 +82,7 @@ class OsProcess:
         deadline = self.env.timeout(timeout)
         outcome = yield AnyOf(self.env, [get_event, deadline])
         if get_event in outcome:
+            deadline.cancel()
             return outcome[get_event]
         self.inbox.cancel(get_event)
         raise ReceiveTimeout(f"{self.name}: no message within {timeout}ms")

@@ -5,11 +5,22 @@ Time is a float; by convention throughout this project it is measured in
 deterministic: events scheduled for the same instant are processed in
 (priority, insertion-order) sequence, so a run with the same seeds always
 produces the same history.
+
+A :class:`~repro.sim.events.Timeout` whose owner no longer waits on it
+(a request's deadline once the reply is in) can be withdrawn with
+:meth:`~repro.sim.events.Timeout.cancel`.  Its heap entry turns *dead*:
+``run``, ``step`` and ``peek`` drop it without counting it in
+``events_processed`` or moving ``now``.  Once more than
+``COMPACT_FLOOR`` entries are dead and they are over half the queue, the
+heap is rebuilt from the live ones, so it never holds more than twice
+its live entries plus the floor.  ``(time, priority, eid)`` is a total
+order, so every live event is processed exactly as if nothing had been
+cancelled.
 """
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Generator, Iterable, List, Optional, Tuple
 
 from .events import (
@@ -21,7 +32,12 @@ from .events import (
     Timeout,
 )
 
-__all__ = ["Environment", "EmptySchedule"]
+__all__ = ["COMPACT_FLOOR", "Environment", "EmptySchedule"]
+
+#: dead (cancelled) heap entries tolerated before the queue is compacted
+#: regardless of its length; above it, compaction starts once dead
+#: entries outnumber live ones.
+COMPACT_FLOOR = 256
 
 
 class EmptySchedule(Exception):
@@ -41,6 +57,7 @@ class Environment:
         "_now",
         "_queue",
         "_eid",
+        "_dead",
         "_active_process",
         "metrics",
         "trace",
@@ -51,6 +68,8 @@ class Environment:
         self._now = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
+        #: cancelled timers still in ``_queue`` (see :meth:`_cancelled`).
+        self._dead = 0
         self._active_process: Optional[Process] = None
         #: metrics registry of the owning run (set by the cluster when
         #: measurement is enabled; None means unmeasured — probe sites
@@ -98,30 +117,38 @@ class Environment:
         heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next live scheduled event, or ``inf`` if none."""
+        queue = self._queue
+        while queue and queue[0][3].callbacks is None:
+            heappop(queue)  # a cancelled timer
+            self._dead -= 1
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled event."""
+        """Process the next live scheduled event."""
+        self.peek()  # drops the cancelled timers ahead of it
         if not self._queue:
             raise EmptySchedule()
         self._now, _, _, event = heappop(self._queue)
         self.events_processed += 1
         callbacks = event.callbacks
         event.callbacks = None
-        if not callbacks:
-            # Zero-listener fast path (bare timeouts nobody awaited yet,
-            # defensively re-stepped events): nothing to run, and a
-            # failure with no listener is handled below.
-            if callbacks is None:
-                return  # event was already processed (defensive)
-        else:
-            for callback in callbacks:
-                callback(event)
+        for callback in callbacks:
+            callback(event)
         if event._ok is False and not event.defused:
             # A failure nobody handled: abort the simulation loudly rather
             # than silently dropping an error.
             raise event._value
+
+    def _cancelled(self) -> None:
+        """Account one more dead entry; compact the heap if they dominate."""
+        self._dead += 1
+        queue = self._queue
+        if self._dead > COMPACT_FLOOR and 2 * self._dead > len(queue):
+            # In place: run() holds a reference to this very list.
+            queue[:] = [entry for entry in queue if entry[3].callbacks is not None]
+            heapify(queue)
+            self._dead = 0
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -164,11 +191,13 @@ class Environment:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 break
-            self._now, _, _, event = heappop(queue)
-            self.events_processed += 1
+            when, _, _, event = heappop(queue)
             callbacks = event.callbacks
             if callbacks is None:
-                continue  # already processed (defensive re-step)
+                self._dead -= 1  # a cancelled timer: not an event
+                continue
+            self._now = when
+            self.events_processed += 1
             event.callbacks = None
             for callback in callbacks:
                 callback(event)

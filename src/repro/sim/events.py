@@ -151,6 +151,23 @@ class Timeout(Event):
         env._eid += 1
         heappush(env._queue, (env._now + delay, 0, env._eid, self))
 
+    def cancel(self) -> None:
+        """Withdraw a timer its owner no longer waits on.
+
+        A no-op once the timer has fired (or was cancelled).  Raises
+        :class:`SimulationError` while a listener is still hooked: only
+        a timer nothing waits on may be withdrawn.  Otherwise the timer
+        never fires: its heap entry is dead, and the environment drops
+        it without counting it or moving the clock.
+        """
+        callbacks = self.callbacks
+        if callbacks is None:
+            return
+        if callbacks:
+            raise SimulationError(f"cannot cancel {self!r}: a listener waits on it")
+        self.callbacks = None
+        self.env._cancelled()
+
 
 class Process(Event):
     """A running simulation process wrapping a generator.
@@ -336,8 +353,9 @@ class Condition(Event):
         callback would do when they fired, and dropping the callback
         stops a losing constituent — typically a request's deadline
         timer — from keeping this condition, its value dict and the
-        winner's value alive until it fires.  No event is added,
-        removed or reordered.
+        winner's value alive until it fires, and leaves that timer with
+        no listener, so its owner may :meth:`Timeout.cancel` it.  No
+        event is added, removed or reordered here.
         """
         on_trigger = self._on_trigger
         for event in self.events:

@@ -158,6 +158,20 @@ def test_cost_counter_drop_is_an_improvement_not_drift():
                for line in comparison.improvements)
 
 
+def test_per_shape_events_counter_is_a_cost():
+    # F2 reports events per machine shape (events_2cpu_1vol, ...): a drop
+    # is an improvement like the plain events counter, a rise is drift.
+    baseline = _report(events_2cpu_1vol=1000, commits=10)
+    fewer = _report(events_2cpu_1vol=900, commits=10)
+    comparison = compare_reports(baseline, fewer)
+    assert comparison.verdict == COUNTER_IMPROVEMENT
+    assert not comparison.errors
+    more = _report(events_2cpu_1vol=1100, commits=10)
+    comparison = compare_reports(baseline, more)
+    assert comparison.verdict == COUNTER_DRIFT
+    assert not comparison.improvements
+
+
 def test_improvement_plus_real_drift_is_drift():
     baseline = _report()
     current = _report()
@@ -282,3 +296,20 @@ def test_cli_same_mode_counter_drift_fails(cli, tmp_path, capsys):
 def test_cli_full_run_skips_counter_compare(cli, capsys):
     assert cli("--full") == 0
     assert "counters not compared" in capsys.readouterr().out
+
+
+def test_update_baseline_only_replaces_just_that_experiment(cli, tmp_path):
+    original = json.loads(BASELINE.read_text())
+    doctored = copy.deepcopy(original)
+    doctored["experiments"]["f1_hardware_paths"]["counters"]["components"] += 1
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(doctored, indent=2, sort_keys=True) + "\n")
+    assert cli("--smoke", "--update-baseline", "--baseline", str(baseline)) == 0
+    written = json.loads(baseline.read_text())
+    assert (written["experiments"]["f1_hardware_paths"]["counters"]
+            == original["experiments"]["f1_hardware_paths"]["counters"])
+    # Every other experiment is byte-identical to what was there before.
+    doctored["experiments"]["f1_hardware_paths"] = (
+        written["experiments"]["f1_hardware_paths"])
+    assert baseline.read_text() == (
+        json.dumps(doctored, indent=2, sort_keys=True) + "\n")

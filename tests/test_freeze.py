@@ -34,6 +34,8 @@ from repro.discprocess import (
 )
 from repro.encompass import SystemBuilder
 from repro.guardian import Cluster
+from repro.sim import Timeout
+from repro.sim.engine import COMPACT_FLOOR
 from repro.workloads import run_closed_loop
 
 from conftest import TmfRig
@@ -234,10 +236,9 @@ def test_request_deadline_does_not_keep_the_reply_alive():
         gc.enable()
 
 
-def test_events_processed_match_the_copying_simulator():
-    """A banking run with a volume takeover schedules exactly the events
-    it did when every image was deep-copied (value pinned from that
-    version of the simulator)."""
+def _takeover_banking_run():
+    """A banking run with a volume takeover, pinned against older
+    versions of the simulator: the environment and the commit count."""
     builder = SystemBuilder(seed=5)
     builder.add_node("alpha", cpus=4)
     builder.add_volume("alpha", "$data", cpus=(0, 1))
@@ -268,4 +269,75 @@ def test_events_processed_match_the_copying_simulator():
                              rng=random.Random(7))
     assert system.disc_processes[("alpha", "$data")].takeovers == 1
     assert result.committed == 86
-    assert env.events_processed == 11290
+    return env
+
+
+def test_events_processed_match_the_copying_simulator(monkeypatch):
+    """The run processes exactly the events it did when every image was
+    deep-copied (11290, pinned from that version), minus the deadline
+    timers withdrawn after their wait was over that would have come due
+    inside the run."""
+    env = _takeover_banking_run()
+    assert env.events_processed == 11228
+
+    # Leaving every cancelled timer in the heap as a no-op gives the
+    # copying simulator's count back ...
+    monkeypatch.setattr(Timeout, "cancel", lambda timer: None)
+    assert _takeover_banking_run().events_processed == 11290
+    monkeypatch.undo()
+
+    # ... and the difference is exactly the cancelled timers due by the
+    # end of the run.
+    due = []
+    real_cancel = Timeout.cancel
+
+    def cancel(timer):
+        if timer.callbacks is not None:
+            due.extend(when for when, _, _, event in timer.env._queue
+                       if event is timer)
+        real_cancel(timer)
+
+    monkeypatch.setattr(Timeout, "cancel", cancel)
+    env = _takeover_banking_run()
+    assert sum(1 for when in due if when <= env.now) == 11290 - 11228
+
+
+def test_schedule_holds_live_events_only():
+    """A 10 s closed-loop banking run: withdrawn deadline timers leave
+    the heap within a bounded slack instead of lingering for 30-120 s of
+    simulated time each."""
+    builder = SystemBuilder(seed=3)
+    builder.add_node("alpha", cpus=4)
+    builder.add_volume("alpha", "$data", cpus=(0, 1))
+    install_banking(builder, "alpha", "$data", server_instances=2)
+    builder.add_tcp("alpha", "$tcp1", cpus=(2, 3))
+    builder.add_program("alpha", "$tcp1", "debit-credit", debit_credit_program)
+    terminals = [f"T{i}" for i in range(6)]
+    for terminal in terminals:
+        builder.add_terminal("alpha", "$tcp1", terminal, "debit-credit")
+    system = builder.build()
+    populate_banking(system, "alpha", branches=2, tellers_per_branch=3,
+                     accounts=24)
+    env = system.env
+    samples = []
+
+    def sample():
+        while True:
+            samples.append((len(env._queue), len(env._queue) - env._dead))
+            yield env.timeout(50.0)
+
+    env.process(sample())
+
+    def make_input(rng, terminal_id, iteration):
+        return {"account_id": rng.randrange(24), "teller_id": rng.randrange(6),
+                "branch_id": rng.randrange(2), "amount": rng.choice([-5, 5, 10]),
+                "allow_overdraft": True}
+
+    result = run_closed_loop(system, "alpha", "$tcp1", terminals, make_input,
+                             duration=10_000.0, think_time=10.0,
+                             rng=random.Random(11))
+    assert result.committed > 500
+    assert len(samples) >= 200
+    for length, live in samples:
+        assert length < 2 * live + COMPACT_FLOOR
+    assert max(length for length, _ in samples) < 1000

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulation kernel."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AllOf,
@@ -14,6 +16,7 @@ from repro.sim import (
     ProcessKilled,
     SimulationError,
 )
+from repro.sim.engine import COMPACT_FLOOR
 
 
 def test_timeout_advances_clock():
@@ -411,3 +414,125 @@ class TestChannel:
         env.run()
         assert ("impatient", "gave up") in got
         assert ("patient", "item") in got
+
+
+# ----------------------------------------------------------------------
+# Timer cancellation: dead heap entries are no events at all
+# ----------------------------------------------------------------------
+def test_cancel_refuses_a_timer_something_waits_on():
+    env = Environment()
+    timer = env.timeout(5)
+    env.process(_waiting_on(timer))
+    env.run(until=1)
+    with pytest.raises(SimulationError, match="listener"):
+        timer.cancel()
+    env.run()
+    assert env.now == 5
+
+
+def _waiting_on(event):
+    yield event
+
+
+def test_cancelled_timer_is_neither_processed_nor_counted():
+    env = Environment()
+    fired = []
+    env.timeout(3).callbacks.append(lambda event: fired.append(env.now))
+    doomed = env.timeout(10)
+    doomed.cancel()
+    doomed.cancel()  # idempotent
+    env.run()
+    assert fired == [3]
+    assert env.events_processed == 1
+    assert env.now == 3, "a dead entry does not move the clock"
+    assert not env._queue and env._dead == 0
+
+
+def test_cancel_after_firing_is_a_noop():
+    env = Environment()
+    timer = env.timeout(2)
+    env.run()
+    timer.cancel()
+    assert env._dead == 0 and env.events_processed == 1
+
+
+def test_peek_and_step_skip_cancelled_timers():
+    env = Environment()
+    early = env.timeout(1)
+    env.timeout(4)
+    early.cancel()
+    assert env.peek() == 4
+    env.step()
+    assert env.now == 4 and env.events_processed == 1
+    doomed = env.timeout(2)
+    doomed.cancel()
+    with pytest.raises(EmptySchedule):
+        env.step()
+    assert env.now == 4 and env.events_processed == 1
+    assert env.peek() == float("inf")
+
+
+def _replay(plan, cancel):
+    """Run ``plan`` of ``(delay, doomed, cancel_at)`` timers.
+
+    Live timers record when they fire.  Each doomed timer gets no
+    listener and is cancelled at ``cancel_at`` by a recording timer
+    scheduled after all of them; ``cancel=False`` leaves it in the heap
+    as a no-op, which is what the simulator did before cancellation.
+    """
+    env = Environment()
+    order = []
+    targets = []
+    for tag, (delay, doomed, _cancel_at) in enumerate(plan):
+        timer = env.timeout(delay)
+        if not doomed:
+            timer.callbacks.append(lambda _e, tag=tag: order.append((env.now, tag)))
+        targets.append(timer)
+    queue_max = 0
+    for tag, (_delay, doomed, cancel_at) in enumerate(plan):
+        if doomed:
+            def withdraw(_event, tag=tag):
+                nonlocal queue_max
+                queue_max = max(queue_max, len(env._queue))
+                order.append((env.now, f"cancel {tag}"))
+                if cancel:
+                    targets[tag].cancel()
+            env.timeout(cancel_at).callbacks.append(withdraw)
+    env.run(until=100)
+    return env, order
+
+
+_plans = st.lists(
+    st.tuples(st.integers(0, 30), st.booleans(), st.integers(0, 30)),
+    max_size=80,
+)
+# Enough doomed timers, cancelled early, to cross COMPACT_FLOOR.
+_compacting_plan = [(20 + i % 37, i % 6 != 0, i % 5) for i in range(1500)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_plans)
+@example(_compacting_plan)
+def test_cancellation_keeps_the_processing_order(plan):
+    env, order = _replay(plan, cancel=True)
+    reference, expected = _replay(plan, cancel=False)
+    assert order == expected
+    # Exactly the doomed timers still pending at their cancel are missing.
+    dead = sum(1 for delay, doomed, at in plan if doomed and at < delay)
+    assert env.events_processed == reference.events_processed - dead
+    assert env.now == reference.now == 100
+
+
+def test_compaction_bounds_the_heap():
+    env = Environment()
+    live = [env.timeout(50 + i) for i in range(100)]
+    doomed = [env.timeout(50 + i) for i in range(1000)]
+    lengths = []
+    for timer in doomed:
+        timer.cancel()
+        lengths.append(len(env._queue))
+        assert len(env._queue) <= 2 * (len(env._queue) - env._dead) + COMPACT_FLOOR
+    assert min(lengths) < len(live) + COMPACT_FLOOR, "the heap was compacted"
+    env.run()
+    assert env.events_processed == len(live)
+    assert env.now == 50 + len(live) - 1
